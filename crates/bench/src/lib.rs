@@ -224,8 +224,8 @@ pub fn tier_records(
 }
 
 /// Buffer pool size for the warm scale-tier runs: large enough to keep
-/// the directory hot, far too small to cache the leaf level, so the
-/// eviction policy is what is actually measured.
+/// the directory hot, far too small to cache the leaf level, so every
+/// run measures both buffer hits and misses.
 pub const TIER_BUFFER_PAGES: usize = 256;
 
 /// Bulk-load a tier's records into a PPR-Tree backed by a fresh
@@ -248,10 +248,9 @@ pub fn bulk_tier_index(
 }
 
 /// The scale-tier query mix: small snapshot probes with every eighth
-/// query a medium interval scan. The scans are the one-shot leaf floods
-/// a scan-resistant buffer exists to absorb; the probes are the hot
-/// directory traffic an LRU loses each time a scan washes its pool.
-/// Deterministic: same cardinality, same mix.
+/// query a medium interval scan. The scans are one-shot leaf floods;
+/// the probes are the hot directory traffic the LRU loses each time a
+/// scan washes its pool. Deterministic: same cardinality, same mix.
 pub fn tier_queries(cardinality: usize) -> Vec<Query> {
     let mut scan_spec = sti_datagen::QuerySetSpec::medium_range();
     scan_spec.cardinality = cardinality / 8;

@@ -57,6 +57,7 @@ use std::collections::BinaryHeap;
 use std::fs;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use sti_geom::{hilbert2, hilbert3, Rect2, Time, TimeInterval};
 use sti_storage::{Page, PageId, PageStore, StorageError};
 
@@ -265,6 +266,9 @@ pub struct BulkLoader {
     params: PprParams,
     max_time: Time,
     spool_dir: PathBuf,
+    /// Process-wide unique id, part of every run file name, so loaders
+    /// sharing a spool directory never open each other's runs.
+    loader_id: u64,
     chunk_cap: usize,
     chunk: Vec<SortRecord>,
     runs: Vec<PathBuf>,
@@ -284,10 +288,13 @@ impl BulkLoader {
     /// If `params` fail their own [`PprParams::validate`].
     pub fn new(params: PprParams, max_time: Time, spool_dir: impl Into<PathBuf>) -> Self {
         params.validate();
+        static NEXT_LOADER: AtomicU64 = AtomicU64::new(0);
         Self {
             params,
             max_time: max_time.max(1),
             spool_dir: spool_dir.into(),
+            // ordering: a unique-id counter; nothing is published through it.
+            loader_id: NEXT_LOADER.fetch_add(1, Ordering::Relaxed),
             chunk_cap: DEFAULT_CHUNK,
             chunk: Vec::new(),
             runs: Vec::new(),
@@ -335,8 +342,9 @@ impl BulkLoader {
         self.chunk.sort_unstable_by_key(SortRecord::order_key);
         fs::create_dir_all(&self.spool_dir)?;
         let path = self.spool_dir.join(format!(
-            "sti-bulk-{}-run{}.tmp",
+            "sti-bulk-{}-{}-run{}.tmp",
             std::process::id(),
+            self.loader_id,
             self.runs.len()
         ));
         let mut w = BufWriter::new(fs::File::create(&path)?);

@@ -6,7 +6,8 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::Barrier;
 use sti_geom::{Rect2, TimeInterval};
 use sti_pprtree::{check, BulkLoader, BulkPiece, PprParams, PprTree};
 use sti_storage::{FileBackend, PageStore};
@@ -244,6 +245,66 @@ fn rejects_empty_lifetimes_and_non_finite_rects() {
         deletion: 5,
     };
     assert!(loader.push(bad_rect).is_err());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Build `pieces` through the spilled path with `spool` as the spool
+/// directory and return the saved image. With a `barrier`, every run
+/// but the last is spilled before the loader waits there, and the merge
+/// starts after.
+fn spilled_image(
+    pieces: &[BulkPiece],
+    spool: &Path,
+    out: &Path,
+    barrier: Option<&Barrier>,
+) -> Vec<u8> {
+    let mut loader = BulkLoader::new(params(), 200, spool).chunk_capacity(1024);
+    for p in pieces {
+        loader.push(*p).unwrap();
+    }
+    if let Some(b) = barrier {
+        b.wait();
+    }
+    let (mut tree, stats) = loader.finish(PageStore::new(8)).unwrap();
+    assert!(stats.spilled_runs >= 2, "test must exercise the merge path");
+    tree.save_to_file(out).unwrap();
+    std::fs::read(out).unwrap()
+}
+
+/// Two loaders spilling into one spool directory at the same time must
+/// not read or delete each other's runs: each builds exactly the tree
+/// it builds alone.
+#[test]
+fn concurrent_loaders_sharing_a_spool_dir_build_their_own_trees() {
+    let dir = scratch_dir("shared-spool");
+    let spool = dir.join("spool");
+    let inputs = [random_pieces(5, 2200, true), random_pieces(6, 2200, true)];
+    let alone: Vec<Vec<u8>> = inputs
+        .iter()
+        .enumerate()
+        .map(|(i, pieces)| spilled_image(pieces, &spool, &dir.join(format!("alone-{i}.idx")), None))
+        .collect();
+    assert_ne!(alone[0], alone[1], "inputs must build different trees");
+
+    let barrier = Barrier::new(inputs.len());
+    let together: Vec<Vec<u8>> = std::thread::scope(|s| {
+        let handles: Vec<_> = inputs
+            .iter()
+            .enumerate()
+            .map(|(i, pieces)| {
+                let (spool, barrier) = (&spool, &barrier);
+                let out = dir.join(format!("together-{i}.idx"));
+                s.spawn(move || spilled_image(pieces, spool, &out, Some(barrier)))
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    for (i, (a, b)) in alone.iter().zip(&together).enumerate() {
+        assert!(
+            a == b,
+            "loader {i} built a different tree beside another loader"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -4,19 +4,17 @@
 use std::path::PathBuf;
 use std::process::Command;
 
+mod common;
+use common::TempDir;
+
 fn stidx() -> Command {
     Command::new(env!("CARGO_BIN_EXE_stidx"))
 }
 
-fn temp(name: &str) -> PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("sti-cli-{}-{name}", std::process::id()));
-    p
-}
-
 #[test]
 fn full_pipeline_both_backends() {
-    let data = temp("data.stdat");
+    let dir = TempDir::new("cli");
+    let data = dir.join("data.stdat");
     let out = stidx()
         .args(["generate", "--kind", "random", "--n", "300", "--out"])
         .arg(&data)
@@ -41,7 +39,7 @@ fn full_pipeline_both_backends() {
     );
 
     for backend in ["ppr", "rstar"] {
-        let idx = temp(&format!("index.{backend}"));
+        let idx = dir.join(format!("index.{backend}"));
         let out = stidx()
             .args(["build", "--data"])
             .arg(&data)
@@ -85,15 +83,14 @@ fn full_pipeline_both_backends() {
             .parse()
             .expect("int");
         assert!((3..=60).contains(&found), "implausible hit count {found}");
-        std::fs::remove_file(&idx).ok();
     }
-    std::fs::remove_file(&data).ok();
 }
 
 #[test]
 fn interval_queries_return_supersets_of_snapshots() {
-    let data = temp("interval.stdat");
-    let idx = temp("interval.ppr");
+    let dir = TempDir::new("cli");
+    let data = dir.join("interval.stdat");
+    let idx = dir.join("interval.ppr");
     assert!(stidx()
         .args(["generate", "--kind", "railway", "--n", "200", "--out"])
         .arg(&data)
@@ -141,14 +138,13 @@ fn interval_queries_return_supersets_of_snapshots() {
         span >= snap,
         "interval ({span}) must contain snapshot ({snap})"
     );
-    std::fs::remove_file(&data).ok();
-    std::fs::remove_file(&idx).ok();
 }
 
 #[test]
 fn stats_describes_index_files_and_metrics_flag_writes_counters() {
-    let data = temp("obs.stdat");
-    let idx = temp("obs.ppr");
+    let dir = TempDir::new("cli");
+    let data = dir.join("obs.stdat");
+    let idx = dir.join("obs.ppr");
     assert!(stidx()
         .args(["generate", "--kind", "random", "--n", "200", "--out"])
         .arg(&data)
@@ -181,7 +177,7 @@ fn stats_describes_index_files_and_metrics_flag_writes_counters() {
     }
 
     // Global --metrics flag, any position: Prometheus text for a query.
-    let prom = temp("query.prom");
+    let prom = dir.join("query.prom");
     let out = stidx()
         .args(["--metrics"])
         .arg(&prom)
@@ -232,7 +228,7 @@ fn stats_describes_index_files_and_metrics_flag_writes_counters() {
     }
 
     // `.json` extension switches the serializer.
-    let json = temp("stats.json");
+    let json = dir.join("stats.json");
     assert!(stidx()
         .arg(format!("--metrics={}", json.display()))
         .arg("stats")
@@ -245,10 +241,6 @@ fn stats_describes_index_files_and_metrics_flag_writes_counters() {
         text.trim_start().starts_with('[') && text.contains("\"stidx_index_pages\""),
         "not the JSON serializer:\n{text}"
     );
-
-    for p in [&data, &idx, &prom, &json] {
-        std::fs::remove_file(p).ok();
-    }
 }
 
 #[test]
@@ -333,10 +325,60 @@ fn unknown_and_duplicate_flags_are_refused_with_suggestions() {
     );
 }
 
+/// The buffer has one eviction policy (LRU) and no readahead: the
+/// retired `--policy` and `--readahead` query flags are refused like any
+/// other unknown flag, not silently ignored.
+#[test]
+fn retired_buffer_policy_flags_are_refused() {
+    let dir = TempDir::new("cli");
+    let data = dir.join("policy.stdat");
+    let idx = dir.join("policy.ppr");
+    assert!(stidx()
+        .args(["generate", "--kind", "random", "--n", "60", "--out"])
+        .arg(&data)
+        .status()
+        .expect("generate")
+        .success());
+    assert!(stidx()
+        .args(["build", "--data"])
+        .arg(&data)
+        .args(["--out"])
+        .arg(&idx)
+        .args(["--backend", "ppr"])
+        .status()
+        .expect("build")
+        .success());
+    let query = || {
+        let mut cmd = stidx();
+        cmd.args(["query", "--index"]).arg(&idx).args([
+            "--backend",
+            "ppr",
+            "--area",
+            "0,0,1,1",
+            "--time",
+            "10",
+            "--until",
+            "30",
+        ]);
+        cmd
+    };
+    assert!(query().output().expect("plain query").status.success());
+    for (extra, flag) in [
+        (&["--policy", "2q"][..], "--policy"),
+        (&["--readahead"], "--readahead"),
+    ] {
+        let out = query().args(extra).output().expect("run");
+        assert!(!out.status.success(), "{flag} must be refused");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("unknown flag {flag}")), "{err}");
+    }
+}
+
 #[test]
 fn stalled_seal_fails_the_ingest_run() {
-    let data = temp("stall.stdat");
-    let idx = temp("stall.ppr");
+    let dir = TempDir::new("cli");
+    let data = dir.join("stall.stdat");
+    let idx = dir.join("stall.ppr");
     assert!(stidx()
         .args(["generate", "--kind", "random", "--n", "60", "--out"])
         .arg(&data)
@@ -382,14 +424,13 @@ fn stalled_seal_fails_the_ingest_run() {
         "unwedged ingest failed: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    std::fs::remove_file(&data).ok();
-    std::fs::remove_file(&idx).ok();
 }
 
 #[test]
 fn nearest_subcommand_works() {
-    let data = temp("knn.stdat");
-    let idx = temp("knn.ppr");
+    let dir = TempDir::new("cli");
+    let data = dir.join("knn.stdat");
+    let idx = dir.join("knn.ppr");
     assert!(stidx()
         .args(["generate", "--kind", "random", "--n", "200", "--out"])
         .arg(&data)
@@ -433,14 +474,13 @@ fn nearest_subcommand_works() {
         .filter_map(|l| l.split_whitespace().last()?.parse().ok())
         .collect();
     assert!(dists.windows(2).all(|w| w[0] <= w[1]), "{dists:?}");
-    std::fs::remove_file(&data).ok();
-    std::fs::remove_file(&idx).ok();
 }
 
 #[test]
 fn stale_temp_from_a_killed_save_is_cleaned_before_the_next_run() {
-    let data = temp("staletmp.stdat");
-    let idx = temp("staletmp.ppr");
+    let dir = TempDir::new("cli");
+    let data = dir.join("staletmp.stdat");
+    let idx = dir.join("staletmp.ppr");
     let tmp = {
         let mut os = idx.as_os_str().to_os_string();
         os.push(".tmp");
@@ -475,14 +515,13 @@ fn stale_temp_from_a_killed_save_is_cleaned_before_the_next_run() {
     );
     assert!(!tmp.exists(), "stale temp must be gone after the run");
     assert!(idx.exists());
-    std::fs::remove_file(&data).ok();
-    std::fs::remove_file(&idx).ok();
 }
 
 #[test]
 fn failed_save_leaves_no_temp_file_behind() {
-    let data = temp("failsave.stdat");
-    let out_dir = temp("failsave.dir");
+    let dir = TempDir::new("cli");
+    let data = dir.join("failsave.stdat");
+    let out_dir = dir.join("failsave.dir");
     assert!(stidx()
         .args(["generate", "--kind", "random", "--n", "40", "--out"])
         .arg(&data)
@@ -511,19 +550,17 @@ fn failed_save_leaves_no_temp_file_behind() {
         !tmp.exists(),
         "a failed save must clean up its own temp file"
     );
-    std::fs::remove_file(&data).ok();
-    std::fs::remove_dir_all(&out_dir).ok();
 }
 
 #[test]
 fn durable_ingest_crash_and_recover_round_trip() {
-    let data = temp("durable.stdat");
-    let control = temp("durable-control.ppr");
-    let recovered = temp("durable-recovered.ppr");
-    let crashed = temp("durable-crashed.ppr");
-    let wal = temp("durable-wal");
-    let metrics = temp("durable-recover.prom");
-    std::fs::remove_dir_all(&wal).ok();
+    let dir = TempDir::new("cli");
+    let data = dir.join("durable.stdat");
+    let control = dir.join("durable-control.ppr");
+    let recovered = dir.join("durable-recovered.ppr");
+    let crashed = dir.join("durable-crashed.ppr");
+    let wal = dir.join("durable-wal");
+    let metrics = dir.join("durable-recover.prom");
     assert!(stidx()
         .args(["generate", "--kind", "random", "--n", "60", "--seed", "11", "--out"])
         .arg(&data)
@@ -635,10 +672,4 @@ fn durable_ingest_crash_and_recover_round_trip() {
             "recovered index diverges from the control at t={t}"
         );
     }
-
-    std::fs::remove_file(&data).ok();
-    std::fs::remove_file(&control).ok();
-    std::fs::remove_file(&recovered).ok();
-    std::fs::remove_file(&metrics).ok();
-    std::fs::remove_dir_all(&wal).ok();
 }

@@ -8,13 +8,9 @@ use spatiotemporal_index::pprtree::{check, PprParams, PprTree};
 use spatiotemporal_index::prelude::*;
 use spatiotemporal_index::rstar::{RStarParams, RStarTree};
 use spatiotemporal_index::storage::PAGE_SIZE;
-use std::path::PathBuf;
 
-fn temp(name: &str) -> PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("sti-corrupt-{}-{name}", std::process::id()));
-    p
-}
+mod common;
+use common::TempDir;
 
 /// A deliberately tiny index so the byte-exhaustive sweep stays fast:
 /// a handful of pages, every structural region (header, meta, free
@@ -36,11 +32,10 @@ fn tiny_ppr_image() -> Vec<u8> {
     for i in (0..32u64).step_by(4) {
         tree.delete(i, rect_for(i), 40 + i as u32).unwrap();
     }
-    let path = temp("ppr-src");
+    let dir = TempDir::new("corrupt");
+    let path = dir.join("ppr-src");
     tree.save_to_file(&path).expect("save");
-    let bytes = std::fs::read(&path).expect("read image");
-    std::fs::remove_file(&path).ok();
-    bytes
+    std::fs::read(&path).expect("read image")
 }
 
 /// Flip every single byte of the image in turn. Opening the damaged
@@ -55,7 +50,8 @@ fn every_single_byte_flip_is_detected_without_panicking() {
         "matrix input grew too large to sweep: {} bytes",
         pristine.len()
     );
-    let path = temp("ppr-flip");
+    let dir = TempDir::new("corrupt");
+    let path = dir.join("ppr-flip");
     let mut undetected = Vec::new();
     for offset in 0..pristine.len() {
         let mut bad = pristine.clone();
@@ -73,7 +69,6 @@ fn every_single_byte_flip_is_detected_without_panicking() {
             }
         }
     }
-    std::fs::remove_file(&path).ok();
     assert!(
         undetected.is_empty(),
         "byte flips at {undetected:?} survived both the loader and the sanitizer"
@@ -86,7 +81,8 @@ fn every_single_byte_flip_is_detected_without_panicking() {
 #[test]
 fn every_truncation_point_fails_closed() {
     let pristine = tiny_ppr_image();
-    let path = temp("ppr-trunc");
+    let dir = TempDir::new("corrupt");
+    let path = dir.join("ppr-trunc");
     let header_cuts = 0..pristine.len().min(PAGE_SIZE);
     let page_cuts = (1..)
         .map(|i| i * PAGE_SIZE)
@@ -99,7 +95,6 @@ fn every_truncation_point_fails_closed() {
             pristine.len()
         );
     }
-    std::fs::remove_file(&path).ok();
 }
 
 /// The same truncation sweep for the R*-Tree loader (its `validate`
@@ -115,7 +110,8 @@ fn rstar_truncation_points_fail_closed() {
         tree.insert(i, Rect3::new([x, y, t], [x + 0.05, y + 0.05, t]))
             .unwrap();
     }
-    let path = temp("rstar-trunc");
+    let dir = TempDir::new("corrupt");
+    let path = dir.join("rstar-trunc");
     tree.save_to_file(&path).expect("save");
     let pristine = std::fs::read(&path).expect("read image");
 
@@ -136,5 +132,4 @@ fn rstar_truncation_points_fail_closed() {
     std::fs::write(&path, &pristine).unwrap();
     let mut back = RStarTree::open_file(&path).expect("pristine reopen");
     back.validate();
-    std::fs::remove_file(&path).ok();
 }

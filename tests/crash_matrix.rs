@@ -22,15 +22,8 @@ use spatiotemporal_index::pprtree::PprParams;
 use spatiotemporal_index::storage::{FsyncPolicy, WalConfig};
 use std::path::{Path, PathBuf};
 
-/// Fresh scratch directory (removed first if a previous run left one).
-fn temp_dir(name: &str) -> PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("sti-crash-{}-{name}", std::process::id()));
-    if p.exists() {
-        std::fs::remove_dir_all(&p).expect("clear scratch dir");
-    }
-    p
-}
+mod common;
+use common::TempDir;
 
 /// Tiny segments so the workload exercises rotation and truncation.
 fn wal_config() -> WalConfig {
@@ -212,8 +205,9 @@ fn every_crash_point_recovers_to_the_shadow_answers() {
     // probe battery includes it at every instant.
     assert!(reference.iter().all(|ids| !ids.contains(&99)));
 
-    for (i, point) in CrashPoint::ALL.into_iter().enumerate() {
-        let dir = temp_dir(&format!("point-{i}"));
+    for point in CrashPoint::ALL {
+        let scratch = TempDir::new("crash");
+        let dir = scratch.join("wal");
         let mut pipeline = IngestPipeline::new(OnlineSplitConfig::default(), PprParams::default());
         pipeline
             .attach_durability(&dir, wal_config())
@@ -242,7 +236,6 @@ fn every_crash_point_recovers_to_the_shadow_answers() {
             answers, reference,
             "recovered index diverges from the shadow after a crash at {point}"
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
@@ -262,7 +255,8 @@ fn durable_run(dir: &Path) {
 /// rejected op.
 #[test]
 fn wal_corruption_sweep_fails_closed() {
-    let dir = temp_dir("sweep");
+    let scratch = TempDir::new("crash");
+    let dir = scratch.join("wal");
     durable_run(&dir);
     let baseline = recover(&dir).expect("pristine recovery");
     let baseline_replayed = baseline.1.wal_records_replayed;
@@ -340,14 +334,14 @@ fn wal_corruption_sweep_fails_closed() {
         recover(&dir).is_err(),
         "a sheared interior segment must fail recovery"
     );
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Damaging the newest checkpoint demotes recovery to the previous
 /// generation; damaging every checkpoint is a typed error, not a panic.
 #[test]
 fn checkpoint_damage_falls_back_then_fails_closed() {
-    let dir = temp_dir("ckpt");
+    let scratch = TempDir::new("crash");
+    let dir = scratch.join("wal");
     durable_run(&dir);
 
     let mut metas: Vec<PathBuf> = std::fs::read_dir(&dir)
@@ -400,7 +394,6 @@ fn checkpoint_damage_falls_back_then_fails_closed() {
         Err(e) => panic!("expected NoUsableCheckpoint, got {e}"),
         Ok(_) => panic!("expected NoUsableCheckpoint, got a recovered pipeline"),
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Satellite 6 at the library level: a recovered pipeline reports its
@@ -408,7 +401,8 @@ fn checkpoint_damage_falls_back_then_fails_closed() {
 /// where the crashed process left off instead of resetting to zero.
 #[test]
 fn recovered_gauges_report_the_restored_backlog() {
-    let dir = temp_dir("gauges");
+    let scratch = TempDir::new("crash");
+    let dir = scratch.join("wal");
     let ops = workload();
     let mut pipeline = IngestPipeline::new(OnlineSplitConfig::default(), PprParams::default());
     pipeline
@@ -441,19 +435,18 @@ fn recovered_gauges_report_the_restored_backlog() {
     assert!(text.contains("recovery_wal_records_replayed"));
     assert!(text.contains("recovery_checkpoint_generation"));
     assert!(text.contains("wal_appends_total"));
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Attaching a fresh pipeline to a directory that already holds durable
 /// history must fail loudly — that directory belongs to `recover`.
 #[test]
 fn attach_refuses_a_used_directory() {
-    let dir = temp_dir("used");
+    let scratch = TempDir::new("crash");
+    let dir = scratch.join("wal");
     durable_run(&dir);
     let mut fresh = IngestPipeline::new(OnlineSplitConfig::default(), PprParams::default());
     assert!(matches!(
         fresh.attach_durability(&dir, wal_config()),
         Err(DurabilityError::DirNotInitial)
     ));
-    std::fs::remove_dir_all(&dir).ok();
 }

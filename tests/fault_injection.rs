@@ -27,6 +27,9 @@ use spatiotemporal_index::rstar::{RStarParams, RStarTree};
 use spatiotemporal_index::storage::{FaultPlan, FaultyBackend};
 use sti_geom::{Rect2, Rect3, TimeInterval};
 
+mod common;
+use common::TempDir;
+
 /// Steps per workload; each step attempts at least one backend write,
 /// so the executed operation count always exceeds the fault horizon.
 const STEPS: u32 = 50;
@@ -329,9 +332,9 @@ proptest! {
 fn mid_save_crash_recovers_to_the_previous_image() {
     use spatiotemporal_index::storage::{OpenError, PageStore, ReadProbe, SaveCrash};
 
-    let dir = std::env::temp_dir();
-    let path = dir.join(format!("sti-crash-{}.idx", std::process::id()));
-    let tmp = dir.join(format!("sti-crash-{}.idx.tmp", std::process::id()));
+    let scratch = TempDir::new("crash");
+    let path = scratch.join("store.idx");
+    let tmp = scratch.join("store.idx.tmp");
 
     let mut store = PageStore::new(4);
     let a = store.allocate().unwrap();
@@ -375,9 +378,6 @@ fn mid_save_crash_recovers_to_the_previous_image() {
         &back.read(a, &mut ReadProbe::new()).unwrap().bytes()[..11],
         b"version two"
     );
-
-    std::fs::remove_file(&path).ok();
-    std::fs::remove_file(&tmp).ok();
 }
 
 /// The same guarantee at tree level: after a tree is saved, torn
@@ -386,7 +386,8 @@ fn mid_save_crash_recovers_to_the_previous_image() {
 /// original file keeps validating clean.
 #[test]
 fn tree_level_crash_images_fail_closed_or_validate_clean() {
-    let path = std::env::temp_dir().join(format!("sti-crash-tree-{}.idx", std::process::id()));
+    let scratch = TempDir::new("crash-tree");
+    let path = scratch.join("tree.idx");
     let mut tree = PprTree::new(PprParams {
         max_entries: 10,
         buffer_pages: 4,
@@ -411,5 +412,4 @@ fn tree_level_crash_images_fail_closed_or_validate_clean() {
     std::fs::write(&path, &pristine).unwrap();
     let back = PprTree::open_file(&path).expect("pristine image reopens");
     assert!(check::validate(&back).is_ok());
-    std::fs::remove_file(&path).ok();
 }

@@ -6,13 +6,9 @@ use spatiotemporal_index::core::{IndexBackend, IndexConfig, SpatioTemporalIndex,
 use spatiotemporal_index::pprtree::PprTree;
 use spatiotemporal_index::prelude::*;
 use spatiotemporal_index::rstar::RStarTree;
-use std::path::PathBuf;
 
-fn temp(name: &str) -> PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("sti-index-{}-{name}", std::process::id()));
-    p
-}
+mod common;
+use common::TempDir;
 
 fn records() -> Vec<spatiotemporal_index::core::ObjectRecord> {
     let objects = RandomDatasetSpec::paper(400).generate();
@@ -46,10 +42,10 @@ fn pprtree_survives_a_round_trip() {
         }
     }
 
-    let path = temp("ppr");
+    let dir = TempDir::new("index");
+    let path = dir.join("ppr");
     tree.save_to_file(&path).expect("save");
     let mut back = PprTree::open_file(&path).expect("open");
-    std::fs::remove_file(&path).ok();
 
     assert_eq!(back.num_pages(), tree.num_pages());
     assert_eq!(back.roots(), tree.roots());
@@ -91,10 +87,10 @@ fn rstar_survives_a_round_trip() {
     for r in &recs {
         tree.insert(r.id, r.to_rect3(1000.0)).unwrap();
     }
-    let path = temp("rstar");
+    let dir = TempDir::new("index");
+    let path = dir.join("rstar");
     tree.save_to_file(&path).expect("save");
     let mut back = RStarTree::open_file(&path).expect("open");
-    std::fs::remove_file(&path).ok();
     assert_eq!(back.len(), tree.len());
     assert_eq!(back.num_pages(), tree.num_pages());
     back.validate();
@@ -123,11 +119,11 @@ fn rstar_survives_a_round_trip() {
 
 #[test]
 fn loading_garbage_fails_cleanly() {
-    let path = temp("garbage");
+    let dir = TempDir::new("index");
+    let path = dir.join("garbage");
     std::fs::write(&path, b"definitely not an index file").expect("write");
     assert!(PprTree::open_file(&path).is_err());
     assert!(RStarTree::open_file(&path).is_err());
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
@@ -147,7 +143,8 @@ fn backend_mismatch_is_a_clean_error() {
             ppr.delete(recs[i].id, recs[i].stbox.rect, t).unwrap();
         }
     }
-    let path = temp("mismatch");
+    let dir = TempDir::new("index");
+    let path = dir.join("mismatch");
     ppr.save_to_file(&path).expect("save");
     let err = match RStarTree::open_file(&path) {
         Err(e) => e,
@@ -159,7 +156,6 @@ fn backend_mismatch_is_a_clean_error() {
     );
     // And the right backend still opens it.
     assert!(PprTree::open_file(&path).is_ok());
-    std::fs::remove_file(&path).ok();
 }
 
 /// Corrupt index files fail closed: header or metadata damage surfaces
@@ -186,7 +182,8 @@ fn corrupted_index_files_fail_closed() {
     for i in (0..120u64).step_by(3) {
         tree.delete(i, rect_for(i), 31 + i as u32 / 4).unwrap();
     }
-    let path = temp("corrupt");
+    let dir = TempDir::new("index");
+    let path = dir.join("corrupt");
     tree.save_to_file(&path).expect("save");
     let pristine = std::fs::read(&path).expect("read back");
 
@@ -235,5 +232,4 @@ fn corrupted_index_files_fail_closed() {
     std::fs::write(&path, &pristine).unwrap();
     let back = PprTree::open_file(&path).expect("pristine file reopens");
     assert!(check::validate(&back).is_ok());
-    std::fs::remove_file(&path).ok();
 }
